@@ -144,11 +144,10 @@ runtime::Co<bool> ReplicationEngine::AcquireXAsSecondary(
 
 void ReplicationEngine::AbortOneBlocker(storage::Transaction* waiter,
                                         ItemId item) {
-  std::vector<storage::Transaction*> blockers =
-      ctx_.db->locks().BlockingHolders(waiter, item,
-                                       storage::LockMode::kExclusive);
-  storage::Transaction* victim = nullptr;
-  for (storage::Transaction* b : blockers) {
+  std::vector<storage::TxnPtr> blockers = ctx_.db->locks().BlockingHolders(
+      waiter, item, storage::LockMode::kExclusive);
+  storage::TxnPtr victim;
+  for (const storage::TxnPtr& b : blockers) {
     if (!b->CanBeVictim() || b->abort_requested()) continue;
     if (b->backedge_pending()) {
       victim = b;

@@ -28,6 +28,11 @@ int ComputeNumMachines(const workload::Params& params) {
          params.sites_per_machine;
 }
 
+/// Holds one unit of `cpu` for `d`: a root process for `Spawn`.
+runtime::Co<void> Stall(runtime::Resource* cpu, Duration d) {
+  co_await cpu->Consume(d);
+}
+
 }  // namespace
 
 /// Forwards commit/abort notifications to the history recorder (when
@@ -907,7 +912,7 @@ void System::InjectCpuStall(int machine, SimTime at, Duration duration) {
   for (int lane = 0; lane < runtime_->workers_per_machine(); ++lane) {
     runtime_->ScheduleCallbackAtOn(runtime_->ExecutorOf(machine, lane), at,
                                    [this, cpu, duration] {
-                                     runtime_->Spawn(cpu->Consume(duration));
+                                     runtime_->Spawn(Stall(cpu, duration));
                                    });
   }
 }

@@ -32,11 +32,12 @@ namespace lazyrep::net {
 ///
 ///   * send CPU on the source machine (protocol/syscall overhead) before
 ///     the message departs. Posting still never blocks the sender — the
-///     charge runs as its own coroutine on the source machine, and the
-///     CPU's FCFS queue keeps per-channel post order intact,
+///     charge runs as its own coroutine on the source machine, and a
+///     per-endpoint turnstile keeps departures in post order,
 ///   * wire latency (+ optional uniform jitter), with per-channel FIFO
 ///     enforced by a channel clock,
-///   * receive CPU on the destination machine before the handler runs.
+///   * receive CPU on the destination machine before the handler runs
+///     (again in arrival order, by a per-endpoint turnstile).
 ///
 /// Under `SimRuntime` this is the deterministic simulated network it
 /// always was. Under `ThreadRuntime` deliveries are scheduled onto the
@@ -138,6 +139,10 @@ class Network : public Transport<T> {
       channels_.resize(static_cast<size_t>(num_endpoints) * num_endpoints);
     } else {
       sparse_channels_.resize(static_cast<size_t>(num_endpoints));
+    }
+    for (int e = 0; e < num_endpoints; ++e) {
+      send_turns_.push_back(std::make_unique<Turnstile>(rt));
+      recv_turns_.push_back(std::make_unique<Turnstile>(rt));
     }
   }
 
@@ -271,18 +276,18 @@ class Network : public Transport<T> {
     size_t size = sizer_ ? sizer_(payload) : 0;
 
     // Send-side CPU precedes the wire: the message departs only after
-    // the sender's per-message CPU work completes. The source CPU is
-    // machine-confined and FCFS, so running charge+dispatch as its own
-    // coroutine preserves per-channel post order without blocking the
-    // caller (this mirrors a buffered socket write whose kernel send
-    // path still costs CPU before the frame hits the wire).
+    // the sender's per-message CPU work completes. Charge+dispatch runs
+    // as its own coroutine so the caller never blocks (this mirrors a
+    // buffered socket write whose kernel send path still costs CPU
+    // before the frame hits the wire); the endpoint's send turnstile
+    // keeps departures in post order.
     if (cpus_[src] != nullptr && config_.send_cpu > 0 &&
         !(is_control_ && is_control_(payload))) {
       rt_->Spawn(ChargeSendCpuThenDispatch(src, dst, loopback, size,
                                            std::move(payload)));
       return;
     }
-    Dispatch(src, dst, loopback, size, std::move(payload));
+    Dispatch(src, dst, loopback, size, std::move(payload), rt_->Now());
   }
 
   Stats Snapshot() const {
@@ -322,17 +327,45 @@ class Network : public Transport<T> {
     std::atomic<uint64_t> value{0};
   };
 
+  /// Keeps an endpoint's CPU-charged messages in order. A machine with
+  /// several CPU units (worker lanes) runs one endpoint's per-message
+  /// charges side by side, and they can finish out of order — a unit
+  /// handed to a queued charge resumes it later than a free unit starts
+  /// a newer one. Each charged message therefore takes a ticket before
+  /// its charge and waits for its turn after it. With one unit per
+  /// machine (always under the sim) charges finish in FIFO order, no
+  /// message ever waits, and the schedule is unchanged. Lane-confined:
+  /// tickets are taken and served on the endpoint's home lane.
+  struct Turnstile {
+    explicit Turnstile(runtime::Runtime* rt) : turn(rt) {}
+    uint64_t issued = 0;
+    uint64_t served = 0;
+    runtime::WaitQueue turn;
+
+    void Next() {
+      ++served;
+      turn.NotifyAll();
+    }
+  };
+
   runtime::Co<void> ChargeSendCpuThenDispatch(SiteId src, SiteId dst,
                                               bool loopback, size_t size,
                                               T payload) {
-    co_await cpus_[src]->Consume(config_.send_cpu);
-    Dispatch(src, dst, loopback, size, std::move(payload));
+    Turnstile& order = *send_turns_[static_cast<size_t>(src)];
+    const uint64_t ticket = order.issued++;
+    // The message leaves when its send charge ends, not when this
+    // executor resumes: the wire inherits no wake-up lateness.
+    SimTime sent = co_await cpus_[src]->Consume(config_.send_cpu);
+    while (order.served != ticket) co_await order.turn.Wait();
+    Dispatch(src, dst, loopback, size, std::move(payload), sent);
+    order.Next();
   }
 
   /// Wire bookkeeping + delivery scheduling; runs on the source machine
-  /// after any send CPU charge.
+  /// after any send CPU charge. `now` is the send instant: the departure
+  /// and the base of bus/link occupancy.
   void Dispatch(SiteId src, SiteId dst, bool loopback, size_t size,
-                T payload) {
+                T payload, SimTime now) {
     // The fault hook rolls the injector's RNG: shared, serialized.
     FaultDecision fault;
     if (fault_hook_) {
@@ -361,7 +394,7 @@ class Network : public Transport<T> {
     // Departure: transmission occupies the medium (shared bus or the
     // point-to-point link) for size/bandwidth; loopback skips the wire.
     Channel& ch = ChannelFor(src, dst);
-    SimTime depart = rt_->Now();
+    SimTime depart = now;
     if (!loopback && config_.bandwidth_bytes_per_sec > 0 && size > 0) {
       Duration tx = static_cast<Duration>(
           static_cast<double>(size) * static_cast<double>(kSecond) /
@@ -370,11 +403,11 @@ class Network : public Transport<T> {
         // One bus for every machine: the only wire state that is
         // genuinely shared.
         std::lock_guard<std::mutex> lock(mu_);
-        SimTime start = std::max(rt_->Now(), bus_busy_until_);
+        SimTime start = std::max(now, bus_busy_until_);
         bus_busy_until_ = start + tx;
         depart = bus_busy_until_;
       } else {
-        SimTime start = std::max(rt_->Now(), ch.link_busy_until);
+        SimTime start = std::max(now, ch.link_busy_until);
         ch.link_busy_until = start + tx;
         depart = ch.link_busy_until;
       }
@@ -392,7 +425,6 @@ class Network : public Transport<T> {
       extra = static_cast<Duration>(
           rng_.Below(static_cast<uint64_t>(config_.jitter) + 1));
     }
-    SimTime send_time = rt_->Now();
     if (fault.drop) {
       // Lost on the wire: it occupied the medium and counts as sent,
       // but nothing arrives and the channel clock does not advance.
@@ -420,7 +452,7 @@ class Network : public Transport<T> {
       ch.clock = dup_arrive;
     }
 
-    Envelope env{src, dst, send_time, std::move(payload)};
+    Envelope env{src, dst, now, std::move(payload)};
     // Post events fire before any delivery is scheduled: once a
     // delivery is on the destination executor it can run (and trace)
     // immediately under ThreadRuntime, so observing it first would
@@ -525,8 +557,8 @@ class Network : public Transport<T> {
     }
     if (cpus_[dst] != nullptr && config_.recv_cpu > 0 &&
         !(is_control_ && is_control_(env.payload))) {
-      // Charge receive CPU before the handler observes the message. The
-      // destination CPU is FCFS, so per-channel order is preserved.
+      // Charge receive CPU before the handler observes the message; the
+      // endpoint's receive turnstile keeps handlers in arrival order.
       rt_->Spawn(ReceiveWithCpu(std::move(env)));
     } else {
       InvokeHandler(std::move(env));
@@ -534,8 +566,12 @@ class Network : public Transport<T> {
   }
 
   runtime::Co<void> ReceiveWithCpu(Envelope env) {
+    Turnstile& order = *recv_turns_[static_cast<size_t>(env.dst)];
+    const uint64_t ticket = order.issued++;
     co_await cpus_[env.dst]->Consume(config_.recv_cpu);
+    while (order.served != ticket) co_await order.turn.Wait();
     InvokeHandler(std::move(env));
+    order.Next();
   }
 
   void InvokeHandler(Envelope env) {
@@ -584,6 +620,9 @@ class Network : public Transport<T> {
   std::vector<int> exec_of_;
   std::vector<PaddedCounter> sent_from_;
   std::vector<PaddedCounter> received_at_;
+  /// Per-endpoint order of CPU-charged sends / receives (Turnstile).
+  std::vector<std::unique_ptr<Turnstile>> send_turns_;
+  std::vector<std::unique_ptr<Turnstile>> recv_turns_;
   std::atomic<uint64_t> total_messages_{0};
   std::atomic<uint64_t> total_bytes_{0};
   std::atomic<uint64_t> dropped_{0};

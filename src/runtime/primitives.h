@@ -1,6 +1,7 @@
 #ifndef LAZYREP_RUNTIME_PRIMITIVES_H_
 #define LAZYREP_RUNTIME_PRIMITIVES_H_
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <coroutine>
@@ -337,6 +338,17 @@ class Mailbox {
 /// (and, with `workers_per_machine > 1`, on different lanes) overlap in
 /// real time, which is exactly the parallelism the thread backend
 /// exists to measure.
+///
+/// Work-conserving hand-off: a unit handed straight to a waiter carries
+/// the releaser's due instant, and the waiter's charge starts there, not
+/// when its executor gets around to resuming it. A busy unit therefore
+/// runs its charges back to back, as the cost model's FCFS server does,
+/// instead of idling for timer slack and wake-up latency between them.
+/// Catch-up is bounded: a charge ends at `max(start + d, now)`, so it
+/// absorbs at most its own duration of lateness and a host stall never
+/// turns into a burst of zero-length charges. A unit taken while idle
+/// starts at `Now()`. Under `kSim` the hand-off instant always equals
+/// `Now()`, so the schedule is that of a plain acquire-delay-release.
 class Resource {
  public:
   explicit Resource(Runtime* rt, int capacity = 1)
@@ -347,12 +359,15 @@ class Resource {
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
 
-  /// Acquires one unit (FIFO). The availability check is re-run under
-  /// the mutex in `await_suspend`, so a `Release` racing the suspension
+  /// Acquires one unit (FIFO) and yields the instant the holder's work
+  /// starts: `Now()` for an idle unit, the releaser's hand-off instant
+  /// for a transferred one. The availability check is re-run under the
+  /// mutex in `await_suspend`, so a `Release` racing the suspension
   /// cannot strand the waiter.
   auto Acquire() {
     struct Awaiter {
       Resource* r;
+      SimTime start = -1;  // Written by Release on a hand-off.
       bool await_ready() {
         std::lock_guard<std::mutex> lock(r->mu_);
         if (r->available_ > 0) {
@@ -367,43 +382,47 @@ class Resource {
           --r->available_;
           return false;
         }
-        r->waiters_.push_back({r->rt_->HomeMachine(), h});
+        r->waiters_.push_back({r->rt_->HomeMachine(), h, &start});
         return true;
       }
-      // When resumed from Release, the unit has been transferred to us.
-      void await_resume() {}
+      SimTime await_resume() { return start >= 0 ? start : r->rt_->Now(); }
     };
     return Awaiter{this};
   }
 
-  /// Releases one unit; hands it directly to the next waiter if any.
-  void Release() {
-    int machine = 0;
-    std::coroutine_handle<> h = nullptr;
+  /// Releases one unit; hands it directly to the next waiter if any,
+  /// whose work then starts at `handoff` (the instant this holder's work
+  /// was due to end).
+  void Release(SimTime handoff) {
+    Waiter w;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!waiters_.empty()) {
-        machine = waiters_.front().first;
-        h = waiters_.front().second;
-        waiters_.pop_front();
-      } else {
+      if (waiters_.empty()) {
         ++available_;
         LAZYREP_CHECK_LE(available_, capacity_);
+        return;
       }
+      w = waiters_.front();
+      waiters_.pop_front();
+      *w.start = handoff;
     }
-    if (h) rt_->ScheduleHandleOn(machine, 0, h);
+    rt_->ScheduleHandleOn(w.machine, 0, w.handle);
   }
+  void Release() { Release(rt_->Now()); }
 
-  /// Occupies one unit for `d` of runtime time (acquire, delay, release).
-  /// This is how CPU work is charged.
-  Co<void> Consume(Duration d) {
-    co_await Acquire();
+  /// Occupies one unit for `d` of runtime time (acquire, delay, release)
+  /// and returns the instant the charge ended. This is how CPU work is
+  /// charged.
+  Co<SimTime> Consume(Duration d) {
+    SimTime start = co_await Acquire();
     {
       std::lock_guard<std::mutex> lock(mu_);
       busy_time_ += d;
     }
-    co_await rt_->Delay(d);
-    Release();
+    SimTime due = std::max(start + d, rt_->Now());
+    co_await rt_->DelayUntil(due);
+    Release(due);
+    co_return due;
   }
 
   int available() const {
@@ -422,12 +441,18 @@ class Resource {
   }
 
  private:
+  struct Waiter {
+    int machine = 0;
+    std::coroutine_handle<> handle;
+    SimTime* start = nullptr;  // The parked awaiter's start slot.
+  };
+
   Runtime* rt_;
   mutable std::mutex mu_;
   int available_;
   int capacity_;
   Duration busy_time_ = 0;
-  std::deque<std::pair<int, std::coroutine_handle<>>> waiters_;
+  std::deque<Waiter> waiters_;
 };
 
 }  // namespace lazyrep::runtime

@@ -40,10 +40,11 @@ inline const char* RuntimeKindName(RuntimeKind kind) {
 ///
 /// Engines, the network, and the storage layer use exactly five
 /// capabilities: a clock (`Now`), process launch (`Spawn`/`SpawnOn`),
-/// awaitable sleep (`Delay`), timer callbacks (`ScheduleCallback*`), and
-/// — via the primitives in runtime/primitives.h — CPU-charge/resource
-/// acquisition. Everything above this interface must stay
-/// backend-agnostic; everything below is one of two backends:
+/// awaitable sleep (`Delay`/`DelayUntil`), timer callbacks
+/// (`ScheduleCallback*`), and — via the primitives in
+/// runtime/primitives.h — CPU-charge/resource acquisition. Everything
+/// above this interface must stay backend-agnostic; everything below is
+/// one of two backends:
 ///
 /// * `SimRuntime` — a thin adapter over `sim::Simulator`. All machine
 ///   arguments are ignored (one thread interleaves everything), which
@@ -115,6 +116,12 @@ class Runtime {
   virtual void ScheduleHandleOn(int machine, Duration delay,
                                 std::coroutine_handle<> h) = 0;
 
+  /// Schedules `h` to resume on `machine` at the *absolute* time `when`
+  /// (clamped to now). `DelayUntil` uses it so a sleep toward a computed
+  /// deadline does not re-read the clock between computing and arming it.
+  virtual void ScheduleHandleAtOn(int machine, SimTime when,
+                                  std::coroutine_handle<> h) = 0;
+
   /// Schedules a plain callback on `machine`, `delay` from now.
   /// Callbacks must not block.
   virtual void ScheduleCallbackOn(int machine, Duration delay,
@@ -183,6 +190,22 @@ class Runtime {
     };
     LAZYREP_CHECK_GE(d, 0);
     return Awaiter{this, d, HomeMachine()};
+  }
+
+  /// Awaitable that resumes the caller on its current machine at the
+  /// absolute time `when` (immediately, after a yield, if it has passed).
+  auto DelayUntil(SimTime when) {
+    struct Awaiter {
+      Runtime* rt;
+      SimTime when;
+      int machine;
+      bool await_ready() { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        rt->ScheduleHandleAtOn(machine, when, h);
+      }
+      void await_resume() {}
+    };
+    return Awaiter{this, when, HomeMachine()};
   }
 
   /// Awaitable that moves the calling coroutine onto executor lane

@@ -44,6 +44,12 @@ class SimRuntime final : public Runtime {
     sim_.ScheduleHandle(delay, h);
   }
 
+  void ScheduleHandleAtOn(int /*machine*/, SimTime when,
+                          std::coroutine_handle<> h) override {
+    SimTime now = sim_.Now();
+    sim_.ScheduleHandle(when > now ? when - now : 0, h);
+  }
+
   void ScheduleCallbackOn(int /*machine*/, Duration delay,
                           std::function<void()> fn) override {
     sim_.ScheduleCallback(delay, std::move(fn));

@@ -129,6 +129,12 @@ void ThreadRuntime::ScheduleHandleOn(int machine, Duration delay,
   Enqueue(machine, Work{h, nullptr}, delay == 0 ? -1 : Now() + delay);
 }
 
+void ThreadRuntime::ScheduleHandleAtOn(int machine, SimTime when,
+                                       std::coroutine_handle<> h) {
+  // A past due time promotes on the run loop's next pass.
+  Enqueue(machine, Work{h, nullptr}, when < 0 ? 0 : when);
+}
+
 void ThreadRuntime::ScheduleCallbackOn(int machine, Duration delay,
                                        std::function<void()> fn) {
   LAZYREP_CHECK_GE(delay, 0);

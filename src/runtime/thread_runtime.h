@@ -54,6 +54,8 @@ class ThreadRuntime final : public Runtime {
   void SpawnOn(int machine, Co<void> co) override;
   void ScheduleHandleOn(int machine, Duration delay,
                         std::coroutine_handle<> h) override;
+  void ScheduleHandleAtOn(int machine, SimTime when,
+                          std::coroutine_handle<> h) override;
   void ScheduleCallbackOn(int machine, Duration delay,
                           std::function<void()> fn) override;
   void ScheduleCallbackAtOn(int machine, SimTime when,

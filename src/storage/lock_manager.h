@@ -194,10 +194,10 @@ class LockManager {
 
   /// Holders whose lock on `item` conflicts with a `mode` request by
   /// `txn`. This is what the BackEdge victim rule inspects after a
-  /// timeout.
-  std::vector<Transaction*> BlockingHolders(const Transaction* txn,
-                                            ItemId item,
-                                            LockMode mode) const;
+  /// timeout. Shared, because with worker lanes a holder may commit or
+  /// abort, and be freed, on another lane right after this returns.
+  std::vector<std::shared_ptr<Transaction>> BlockingHolders(
+      const Transaction* txn, ItemId item, LockMode mode) const;
 
   /// Number of locks held by `txn`.
   size_t HeldCount(const Transaction* txn) const;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -48,7 +49,7 @@ enum class TxnState { kActive, kCommitted, kAborted };
 /// The read/write/undo bookkeeping stays unsynchronized: it is only
 /// touched by the single coroutine driving the transaction (plus the
 /// checkers at quiescence).
-class Transaction {
+class Transaction : public std::enable_shared_from_this<Transaction> {
  public:
   Transaction(GlobalTxnId id, TxnKind kind, SimTime start_time,
               int64_t arrival_seq)

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -362,6 +363,93 @@ TEST(NetworkTest, FifoPreservedUnderBandwidthAndJitter) {
   sim.Run();
   ASSERT_EQ(got.size(), 40u);
   for (int i = 0; i < 40; ++i) EXPECT_EQ(got[i], i);
+}
+
+// Per-message CPU charges on a machine with several CPU units (worker
+// lanes) overlap, and a unit handed to a queued charge resumes it later
+// than an idle unit starts a newer one. The tests below stage exactly
+// that on one machine with two lanes: lane 1 holds both units until
+// 5 ms while message 0's charge queues; lane 0 is then frozen, so the
+// unit handed to message 0 waits for the lane while message 1 takes the
+// idle one and finishes first. Messages must still leave (send CPU) and
+// reach their handler (receive CPU) in post order.
+
+Co<void> HoldCpu(Resource* cpu, Duration d) { co_await cpu->Consume(d); }
+
+/// Blocks the calling executor lane (a stand-in for a long callback or
+/// a descheduled thread).
+void FreezeLane(Duration d) {
+  std::this_thread::sleep_for(std::chrono::nanoseconds(d));
+}
+
+/// Runs the staged scenario and returns the payloads in handler order.
+/// `stage` schedules the posts and lane freezes after the two
+/// CPU-holding coroutines have started on lane 1.
+std::vector<int> RunOverlappedCharges(
+    const IntNet::Config& cfg, std::vector<int> exec_of,
+    const std::function<void(ThreadRuntime*, IntNet*)>& stage) {
+  ThreadRuntime rt(/*num_machines=*/1, /*workers_per_machine=*/2);
+  Resource cpu(&rt, 2);
+  IntNet net(&rt, 2, cfg, {&cpu, &cpu}, Rng(7));
+  net.SetMachineMap({0, 0});
+  net.SetExecutorMap(std::move(exec_of));
+  std::vector<int> got;  // Endpoint 1's home lane only.
+  WaitGroup wg(&rt);
+  wg.Add(2);
+  net.SetHandler(1, [&](IntNet::Envelope env) {
+    got.push_back(env.payload);
+    wg.Done();
+  });
+  rt.Start();
+  rt.SpawnOn(1, HoldCpu(&cpu, Millis(5)));
+  rt.SpawnOn(1, HoldCpu(&cpu, Millis(5)));
+  stage(&rt, &net);
+  EXPECT_TRUE(wg.WaitBlocking(Seconds(30))) << "messages never arrived";
+  rt.Shutdown();
+  return got;
+}
+
+TEST(NetworkTest, SendCpuKeepsPostOrderOnMultiUnitCpu) {
+  IntNet::Config cfg;
+  cfg.latency = Micros(100);
+  cfg.send_cpu = Micros(200);
+  std::vector<int> got = RunOverlappedCharges(
+      cfg, /*exec_of=*/{0, 0}, [](ThreadRuntime* rt, IntNet* net) {
+        // 1 ms: message 0's send charge queues behind the held units.
+        rt->ScheduleCallbackOn(0, Millis(1), [net] { net->Post(0, 1, 0); });
+        // 4-7 ms: lane 0 frozen across the 5 ms release. Message 1 is
+        // posted at 6 ms and takes the idle unit; its charge is due long
+        // before message 0's handed-off charge can resume.
+        rt->ScheduleCallbackOn(0, Millis(4), [net] {
+          FreezeLane(Millis(2));
+          net->Post(0, 1, 1);
+          FreezeLane(Millis(1));
+        });
+      });
+  EXPECT_EQ(got, (std::vector<int>{0, 1}));
+}
+
+TEST(NetworkTest, RecvCpuKeepsArrivalOrderOnMultiUnitCpu) {
+  IntNet::Config cfg;
+  cfg.latency = Millis(1);
+  cfg.recv_cpu = Micros(200);
+  // The sender lives on lane 1, the receiver on lane 0.
+  std::vector<int> got = RunOverlappedCharges(
+      cfg, /*exec_of=*/{1, 0}, [](ThreadRuntime* rt, IntNet* net) {
+        // Message 0 arrives at 1.5 ms; its receive charge queues.
+        rt->ScheduleCallbackOn(1, Micros(500), [net] { net->Post(0, 1, 0); });
+        // Message 1 arrives at ~3.05 ms, while lane 0 is frozen (2-4 ms),
+        // so its delivery is released together with the 3 ms and 3.5 ms
+        // freezes around it. The 3 ms one spans the 5 ms release: the
+        // unit handed to message 0 waits behind message 1's delivery,
+        // which takes the idle unit, and behind the 3.5 ms freeze, which
+        // outlasts message 1's charge.
+        rt->ScheduleCallbackOn(1, Micros(2050), [net] { net->Post(0, 1, 1); });
+        rt->ScheduleCallbackOn(0, Millis(2), [] { FreezeLane(Millis(2)); });
+        rt->ScheduleCallbackOn(0, Millis(3), [] { FreezeLane(Millis(2)); });
+        rt->ScheduleCallbackOn(0, Micros(3500), [] { FreezeLane(Millis(1)); });
+      });
+  EXPECT_EQ(got, (std::vector<int>{0, 1}));
 }
 
 // Regression for the observer event-order race: post events must be

@@ -5,8 +5,9 @@
 //     backends (SimRuntime and ThreadRuntime), pinning the shared
 //     scheduling contract: timers fire in (due, submission) order,
 //     mailboxes are FIFO, WaitGroup fan-in works from coroutines and
-//     from the driver thread, and Resource charges serialize and
-//     account busy time.
+//     from the driver thread, and Resource charges serialize, account
+//     busy time and run back to back (work conservation; under threads
+//     also the bounded catch-up after a stall).
 //  2. SimGoldenMetricsTest — the bit-for-bit determinism guarantee.
 //     SimRuntime is a pure forwarding adapter over sim::Simulator, so a
 //     full system run must reproduce the exact metrics captured before
@@ -19,9 +20,13 @@
 //     protocol at paper defaults stays serializable and replica-
 //     convergent under real threads across several seeds.
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -220,6 +225,154 @@ TEST_P(RuntimeBackendTest, ResourceChargesSerializeAndAccount) {
     EXPECT_EQ(rt->Now(), Millis(10));
   }
   rt->Shutdown();
+}
+
+/// The end instants of every charge on one unit, in completion order
+/// once sorted (the unit serializes them).
+struct ChargeTimeline {
+  std::mutex mu;
+  std::vector<SimTime> ends;
+};
+
+Co<void> ChargeBackToBack(Resource* cpu, Duration d, int charges,
+                          ChargeTimeline* timeline, WaitGroup* wg) {
+  for (int i = 0; i < charges; ++i) {
+    SimTime end = co_await cpu->Consume(d);
+    std::lock_guard<std::mutex> lock(timeline->mu);
+    timeline->ends.push_back(end);
+  }
+  wg->Done();
+}
+
+TEST_P(RuntimeBackendTest, ResourceIsWorkConserving) {
+  // The cost model's machine CPU is a FCFS server that never idles while
+  // work is queued: K contenders x M back-to-back charges on one unit
+  // take N*d. A handed-off charge starts at the releaser's due instant,
+  // so consecutive charges end exactly d apart — timer slack and wake-up
+  // latency are not added per charge. Only a waiter that resumes more
+  // than a whole charge late (a descheduled host thread) may open a gap;
+  // no gap is ever shorter than d.
+  constexpr int kContenders = 4;
+  constexpr int kChargesEach = 25;
+  constexpr int kCharges = kContenders * kChargesEach;
+  constexpr Duration kCharge = Micros(500);
+  std::unique_ptr<Runtime> rt = MakeRt(2);
+  rt->Start();
+  Resource cpu(rt.get(), 1);
+  WaitGroup wg(rt.get());
+  wg.Add(kContenders);
+  ChargeTimeline timeline;
+  const SimTime start = rt->Now();
+  for (int k = 0; k < kContenders; ++k) {
+    rt->SpawnOn(k % rt->num_machines(),
+                ChargeBackToBack(&cpu, kCharge, kChargesEach, &timeline,
+                                 &wg));
+  }
+  Drive(rt.get(), &wg);
+  const Duration elapsed = rt->Now() - start;
+  EXPECT_EQ(cpu.busy_time(), kCharges * kCharge);
+  EXPECT_EQ(cpu.available(), 1);
+  std::vector<SimTime> ends = timeline.ends;
+  ASSERT_EQ(ends.size(), static_cast<size_t>(kCharges));
+  std::sort(ends.begin(), ends.end());
+  EXPECT_GE(ends.front() - start, kCharge);
+  int back_to_back = 0;
+  for (size_t i = 1; i < ends.size(); ++i) {
+    EXPECT_GE(ends[i] - ends[i - 1], kCharge);
+    if (ends[i] - ends[i - 1] == kCharge) ++back_to_back;
+  }
+  EXPECT_GE(elapsed, kCharges * kCharge);
+  if (rt->concurrent()) {
+    EXPECT_GE(back_to_back, (kCharges - 1) * 3 / 4)
+        << "charges idle between hand-offs";
+  } else {
+    EXPECT_EQ(back_to_back, kCharges - 1);
+    EXPECT_EQ(elapsed, kCharges * kCharge);
+  }
+  rt->Shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Bounded catch-up: a charge absorbs at most its own duration of the
+// lateness it inherits, so a stalled host never compresses the charges
+// behind it into a burst.
+
+struct ChargeLog {
+  std::atomic<SimTime> end{-1};       // Instant Consume returned.
+  std::atomic<SimTime> resumed{-1};   // When the charger ran again.
+};
+
+Co<void> ChargeAndLog(Runtime* rt, Resource* cpu, Duration d,
+                      ChargeLog* log, WaitGroup* wg) {
+  log->end.store(co_await cpu->Consume(d));
+  log->resumed.store(rt->Now());
+  wg->Done();
+}
+
+Co<void> StallThenCharge(Runtime* rt, Resource* cpu, Duration d,
+                         Duration stall_at, Duration stall_for,
+                         std::atomic<SimTime>* stall_end, ChargeLog* log,
+                         WaitGroup* wg) {
+  // Freezes this executor mid-charge, so the holder wakes (and hands the
+  // unit on) late.
+  rt->ScheduleCallback(stall_at, [rt, stall_for, stall_end] {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(stall_for));
+    stall_end->store(rt->Now());
+  });
+  co_await ChargeAndLog(rt, cpu, d, log, wg);
+}
+
+/// Three charges of `charge` queue on one unit; the executor is frozen
+/// from `charge / 2` for `stall_for`, so the first holder wakes (and
+/// hands the unit on) `stall_for - charge / 2` late.
+struct StalledChain {
+  ChargeLog a, b, c;
+  std::atomic<SimTime> stall_end{-1};
+};
+
+void RunStalledChain(Duration charge, Duration stall_for,
+                     StalledChain* out) {
+  ThreadRuntime rt(/*num_machines=*/1);
+  rt.Start();
+  Resource cpu(&rt, 1);
+  WaitGroup wg(&rt);
+  wg.Add(3);
+  rt.SpawnOn(0, StallThenCharge(&rt, &cpu, charge, charge / 2, stall_for,
+                                &out->stall_end, &out->a, &wg));
+  rt.SpawnOn(0, ChargeAndLog(&rt, &cpu, charge, &out->b, &wg));
+  rt.SpawnOn(0, ChargeAndLog(&rt, &cpu, charge, &out->c, &wg));
+  ASSERT_TRUE(wg.WaitBlocking(Seconds(30))) << "charges hung";
+  ASSERT_GE(out->stall_end.load(), 0);
+  rt.Shutdown();
+}
+
+TEST(ThreadRuntimeResourceTest, CatchUpIsBoundedAfterAStalledReleaser) {
+  constexpr Duration kCharge = Millis(20);
+  {
+    SCOPED_TRACE("hand-off half a charge late");
+    StalledChain run;
+    RunStalledChain(kCharge, kCharge, &run);
+    // Every charge still spans its full duration on the timeline...
+    EXPECT_GE(run.b.end.load() - run.a.end.load(), kCharge);
+    EXPECT_GE(run.c.end.load() - run.b.end.load(), kCharge);
+    // ...starting at the releaser's due instant, so the charge behind
+    // the stall catches up, but only partly: it still sleeps after the
+    // executor comes back.
+    EXPECT_LT(run.b.end.load() - run.a.end.load(), kCharge + Millis(8))
+        << "the hand-off did not start at the releaser's due instant";
+    EXPECT_GE(run.b.resumed.load() - run.stall_end.load(), kCharge / 4)
+        << "the charge after a stall collapsed to zero length";
+  }
+  {
+    SCOPED_TRACE("hand-off two charges late");
+    StalledChain run;
+    RunStalledChain(kCharge, kCharge * 5 / 2, &run);
+    // The charge behind the stall absorbs at most its own duration of
+    // lateness; the one after it runs in full, not as a burst.
+    EXPECT_GE(run.c.end.load() - run.b.end.load(), kCharge);
+    EXPECT_GE(run.c.resumed.load() - run.stall_end.load(), kCharge * 3 / 4)
+        << "a stall turned into a burst of zero-length charges";
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -942,7 +942,10 @@ TEST(WalTest, ConcurrentAppendersAndColdReadersAreRaceFree) {
   }
   std::thread reader([&wal, &stop] {
     size_t checksum = 0;
-    while (!stop.load(std::memory_order_acquire)) {
+    // The last pass starts after the writers are done, so it sees their
+    // records even when this thread first runs only after they finished.
+    for (bool last = false; !last;) {
+      last = stop.load(std::memory_order_acquire);
       checksum += wal.size();
       checksum += wal.size_bytes();
       checksum += wal.sync_batches();
